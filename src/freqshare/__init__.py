@@ -50,6 +50,7 @@ from .market import (
     PRICING_RULES,
     UNDER_FREQUENCY,
     ClearingResult,
+    CostCurve,
     ReserveBid,
     Unit,
     clear_market,

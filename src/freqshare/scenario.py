@@ -5,10 +5,10 @@ per-snapshot bid stacks and the run defaults. Field names carry their
 units (``capacity_gw``, ``inertia_gws``); nothing is converted
 implicitly.
 
-For every snapshot and service side the pipeline clears the real
-requirement (step 1), re-clears it for each unit's own contingency
-(step 2) and applies the cost-sharing rule with existing-unit filtering
-(step 3). There is no clock and no randomness anywhere, so identical
+For every snapshot and service side the pipeline builds one cost curve
+from the bid stack, clears the real requirement on it (step 1), prices
+each unit's own contingency on the same curve (step 2) and applies the
+cost-sharing rule with existing-unit filtering (step 3). There is no clock and no randomness anywhere, so identical
 scenario files yield byte-identical reports.
 """
 
@@ -38,10 +38,10 @@ from .market import (
     SERVICE_FOR_UNIT_SIDE,
     SERVICE_SIDES,
     ClearingResult,
+    CostCurve,
     ReserveBid,
     Unit,
-    clear_market,
-    fictitious_cost_cascade,
+    _cascade_costs,
 )
 
 HOURS_PER_YEAR = 8760.0
@@ -164,7 +164,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
                 capacity_gw=float(rec["capacity_gw"]),
                 side=str(rec.get("side", GENERATION)),
                 technology=str(rec.get("technology", "")),
-                existing=bool(rec.get("existing", False)),
+                existing=rec.get("existing", False),
             ))
         except KeyError as exc:
             raise ValidationError(f"{where}: missing field {exc.args[0]}") from exc
@@ -342,18 +342,17 @@ def validate_scenario(scenario: Scenario) -> None:
 def _side_result(
     snapshot: SystemSnapshot,
     side_units: list[Unit],
-    stack: list[ReserveBid],
+    curve: CostCurve,
     service_side: str,
     rule: str,
-    pricing: str,
 ) -> SideResult:
     largest = max(side_units, key=lambda u: (u.capacity_gw, u.id))
     requirement = required_reserve(snapshot, Contingency(largest.capacity_gw, largest.side))
     try:
-        clearing = clear_market(requirement, stack, pricing)
+        clearing = curve.clear(requirement)
     except ScarcityError as exc:
         raise ScarcityError(exc.requirement_gw, exc.offered_gw, unit_id=largest.id) from exc
-    cascade = fictitious_cost_cascade(snapshot, side_units, stack, pricing)
+    cascade = _cascade_costs(snapshot, side_units, {service_side: curve})
     alloc = allocate(cascade, rule)
     alloc = replace(alloc, cutoff_gw=cutoff_size(alloc, side_units))
     alloc = filter_existing(side_units, alloc)
@@ -384,10 +383,8 @@ def allocate_snapshot(
         ]
         if not side_units:
             continue
-        side_stack = [b for b in stack if b.side == service_side]
-        results.append(
-            _side_result(snapshot, side_units, side_stack, service_side, rule, pricing)
-        )
+        curve = CostCurve([b for b in stack if b.side == service_side], pricing)
+        results.append(_side_result(snapshot, side_units, curve, service_side, rule))
     return results
 
 
@@ -464,20 +461,25 @@ def sweep_allocation_curve(
     service_side = SERVICE_FOR_UNIT_SIDE[side]
     pid = _probe_id(scenario.fleet)
 
+    fleet_units = [u for u in scenario.fleet if SERVICE_FOR_UNIT_SIDE[u.side] == service_side]
+    curves = {
+        snapshot.label: CostCurve(
+            [b for b in scenario.bid_stacks[snapshot.label] if b.side == service_side], pricing
+        )
+        for snapshot in scenario.snapshots
+    }
+
     points: list[tuple[float, str, float]] = []
     scarcities: list[tuple[float, str, float]] = []
     zero_caps: dict[str, float] = {}
     for cap in grid:
         probe = Unit(id=pid, capacity_gw=cap, side=side, technology="probe")
-        side_units = [
-            u for u in scenario.fleet if SERVICE_FOR_UNIT_SIDE[u.side] == service_side
-        ] + [probe]
+        side_units = fleet_units + [probe]
         for snapshot in scenario.snapshots:
-            stack = [
-                b for b in scenario.bid_stacks[snapshot.label] if b.side == service_side
-            ]
             try:
-                result = _side_result(snapshot, side_units, stack, service_side, rule, pricing)
+                result = _side_result(
+                    snapshot, side_units, curves[snapshot.label], service_side, rule
+                )
             except ScarcityError as exc:
                 scarcities.append((cap, snapshot.label, exc.shortfall_gw))
                 continue

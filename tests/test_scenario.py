@@ -64,6 +64,30 @@ def test_bad_field_names_record_index():
     assert "capacity_gw" in str(err.value)
 
 
+@pytest.mark.parametrize("value", ["no", "false", 0, 1, None])
+def test_existing_flag_must_be_a_boolean(value):
+    doc = minimal_doc()
+    doc["fleet"][0]["existing"] = value
+    with pytest.raises(ValidationError, match=r"fleet\[0\]\.existing: must be a boolean"):
+        scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("where, field", [
+    (("fleet", 0), "capacity_gw"),
+    (("bid_stacks", "only", 0), "price_per_mw_h"),
+    (("bid_stacks", "only", 1), "quantity_gw"),
+])
+@pytest.mark.parametrize("text", [".nan", ".inf", "-.inf"])
+def test_non_finite_yaml_numbers_name_the_field(where, field, text):
+    doc = minimal_doc()
+    record = doc
+    for key in where:
+        record = record[key]
+    record[field] = yaml.safe_load(text)
+    with pytest.raises(ValidationError, match=f"{field}: must be finite"):
+        scenario_from_dict(doc)
+
+
 def test_unknown_keys_rejected():
     doc = minimal_doc()
     doc["snapshots"][0]["inertia"] = 100.0
